@@ -3,9 +3,9 @@
 //! `par:{2,4,8}` workers. The engine is bit-deterministic at every worker
 //! count, so this bench measures pure wall-clock scaling.
 //!
-//! The speedup is host-dependent: on a multi-core host the fragment and
-//! memory-module shards run concurrently (the workload below fans a
-//! ~4096-thick flow over 16 groups); on a single-hardware-thread host the
+//! The speedup is host-dependent: on a multi-core host the fragment
+//! shards run concurrently (the workload below fans a ~4096-thick flow
+//! over 16 groups); on a single-hardware-thread host the
 //! pool degenerates to the coordinator draining its own queue and the
 //! numbers show engine overhead instead.
 

@@ -143,9 +143,9 @@ impl TcfMachine {
             }
         }
 
-        // Phase 2: one PRAM memory step for all flows' references
-        // (sharded per memory module under the parallel engine). Replies
-        // land in the machine-owned `mem_replies` buffer.
+        // Phase 2: one PRAM memory step for all flows' references,
+        // resolved on the coordinator under both engines. Replies land in
+        // the machine-owned `mem_replies` buffer.
         let mstats = self.memory_step(refs)?;
         self.mem_stats.absorb(&mstats);
 

@@ -90,11 +90,6 @@ pub struct TcfMachine {
     pub(crate) pool: Option<Arc<WorkerPool>>,
     /// Persistent scratch of the sequential shared-memory step.
     pub(crate) mem_scratch: StepScratch,
-    /// Per-module scratch for concurrent shard resolution (one per
-    /// module: shard workers run with `&SharedMemory` and cannot share).
-    pub(crate) shard_scratch: Vec<StepScratch>,
-    /// Reused per-module reference buckets of the sharded step.
-    pub(crate) mem_buckets: Vec<Vec<usize>>,
     /// Reply slots of the last memory step (index-aligned with its refs).
     pub(crate) mem_replies: Vec<Option<Word>>,
     /// Bulk (strided-read) replies of the last memory step.
@@ -187,8 +182,6 @@ impl TcfMachine {
             engine: Engine::Sequential,
             pool: None,
             mem_scratch: StepScratch::default(),
-            shard_scratch: vec![StepScratch::default(); config.groups],
-            mem_buckets: Vec::new(),
             mem_replies: Vec::new(),
             mem_bulk: BulkReplies::default(),
             step_bufs: StepBufs::default(),
@@ -393,6 +386,19 @@ impl TcfMachine {
         for f in self.flows.values_mut() {
             let t = f.thickness.max(1);
             f.regs.materialize_all(t);
+        }
+    }
+
+    /// Test support: force-materializes every flow's affine and
+    /// segment-run registers (see [`ThickRegs::materialize_compressed`]),
+    /// keeping uniform ones — the per-lane reference for the compressed
+    /// path with the scalarization decisions unchanged.
+    ///
+    /// [`ThickRegs::materialize_compressed`]: crate::ThickRegs::materialize_compressed
+    pub fn materialize_compressed_registers(&mut self) {
+        for f in self.flows.values_mut() {
+            let t = f.thickness.max(1);
+            f.regs.materialize_compressed(t);
         }
     }
 

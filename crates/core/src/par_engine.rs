@@ -2,25 +2,22 @@
 //! variants.
 //!
 //! Opt-in via [`TcfMachine::set_engine`] or the `TCF_ENGINE` environment
-//! variable (`seq` or `par:<workers>`). The engine shards the two
-//! embarrassingly parallel regions of a synchronous step across a
-//! persistent worker pool, keeping the step phases as barriers:
+//! variable (`seq` or `par:<workers>`). The engine shards the
+//! embarrassingly parallel phase of a synchronous step, **thick
+//! execution**, across a persistent worker pool. A thick instruction's
+//! fragments live on *distinct* processor groups, per-lane operations
+//! never read another lane's same-instruction writes, and local memories
+//! are per-group, so each fragment executes on its own worker against a
+//! read-only view of the registers, producing a [`FragOut`] (issue units,
+//! memory references, a register write log, a local-memory undo log). The
+//! coordinator merges the outputs in fragment order, replaying register
+//! writes through the exact `ThickRegs::set` sequence the sequential
+//! engine performs — bit-identical down to the `Uniform`/`PerThread`
+//! representation.
 //!
-//! * **phase 1, thick execution** — a thick instruction's fragments live on
-//!   *distinct* processor groups, per-lane operations never read another
-//!   lane's same-instruction writes, and local memories are per-group, so
-//!   each fragment executes on its own worker against a read-only view of
-//!   the registers, producing a [`FragOut`] (issue units, memory
-//!   references, a register write log, a local-memory undo log). The
-//!   coordinator merges the outputs in fragment order, replaying register
-//!   writes through the exact `ThickRegs::set` sequence the sequential
-//!   engine performs — bit-identical down to the `Uniform`/`PerThread`
-//!   representation.
-//! * **phase 2, shared-memory step** — an address maps to exactly one
-//!   module, so per-module reference buckets resolve concurrently
-//!   ([`SharedMemory::resolve_shard`]); every ordering-sensitive decision
-//!   (CRCW winner, multiprefix order) is derived from thread ranks inside
-//!   the shard, and the staged results commit atomically.
+//! The shared-memory step resolves on the coordinator under both engines
+//! (`TcfMachine::memory_step`): a per-module fan-out of it never beat the
+//! sequential step.
 //!
 //! Flow-wise instructions, NUMA slices and the timing phase stay on the
 //! coordinator: flows interact (split/join/bunch absorption, shared local
@@ -33,8 +30,6 @@
 //! sequential engine simply runs the fragments inline — so the differential
 //! conformance suite (`tests/engine_differential.rs`) guards the merge
 //! logic rather than two divergent interpreters.
-//!
-//! [`SharedMemory::resolve_shard`]: tcf_mem::SharedMemory::resolve_shard
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -44,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use tcf_isa::reg::Reg;
 use tcf_isa::word::{Addr, Word};
 use tcf_machine::{IssueUnit, MachineConfig, UnitSeq};
-use tcf_mem::{LocalMemory, MemError, MemRef, ShardOutcome, SharedMemory, StepStats};
+use tcf_mem::{LocalMemory, MemRef, SharedMemory, StepStats};
 use tcf_obs::{FlowEvent, ObsSink};
 
 use crate::decoded::DecodedInst;
@@ -60,10 +55,10 @@ use crate::thick::{affine_alu, LaneMask, MaskError, Seg, MASK_RUN_BUDGET};
 pub enum Engine {
     /// The default single-threaded engine.
     Sequential,
-    /// The deterministic parallel engine: fragment and memory-module work
-    /// sharded over `workers` host threads (the coordinating thread counts
-    /// as one worker). `workers == 1` exercises the parallel code path
-    /// without spawning threads.
+    /// The deterministic parallel engine: thick fragments sharded over
+    /// `workers` host threads (the coordinating thread counts as one
+    /// worker). `workers == 1` exercises the parallel code path without
+    /// spawning threads.
     Parallel {
         /// Total worker count, coordinator included (clamped to ≥ 1).
         workers: usize,
@@ -404,25 +399,50 @@ impl FragOut {
 /// `[0, i64::MAX]` — it is monotone, so checking both endpoints covers
 /// every lane (the wrapped per-lane i64 result is the unique
 /// representative of the exact value's residue class in i64 range, hence
-/// equal to it, and `to_addr` is the identity on non-negatives) — and the
-/// module map must advance by a constant node step per lane
-/// ([`SharedMemory::strided_node_step`]; low-order interleaving only).
-/// Returns lane 0's address and the node step.
-fn strided_addr(
-    ctx: &ThickCtx<'_>,
-    ab: Word,
-    off: Word,
-    astride: Word,
-    len: usize,
-) -> Option<(Addr, usize)> {
+/// equal to it, and `to_addr` is the identity on non-negatives). Returns
+/// lane 0's address.
+fn strided_addr(ab: Word, off: Word, astride: Word, len: usize) -> Option<Addr> {
     let w0 = (ab as i128) + (off as i128);
     let wlast = w0 + (astride as i128) * ((len - 1) as i128);
     let max = i64::MAX as i128;
     if w0 < 0 || w0 > max || wlast < 0 || wlast > max {
         return None;
     }
-    let node_step = ctx.shared.strided_node_step(astride)?;
-    Some((w0 as Addr, node_step))
+    Some(w0 as Addr)
+}
+
+/// Pushes the issue units of `count` shared-memory lanes from `thread0`
+/// whose addresses are the exact progression `a0 + k·astride`. A
+/// progression that stays on one module or steps through them evenly
+/// (interleaving, or a zero stride under any map) is one
+/// [`UnitSeq::SharedRun`]; a hashed nonzero stride scatters, so it pushes
+/// the per-lane units with the map's modules in lane order — exactly the
+/// units the per-lane loop pushes.
+fn push_shared_units(
+    ctx: &ThickCtx<'_>,
+    out: &mut FragOut,
+    thread0: usize,
+    a0: Addr,
+    astride: Word,
+    count: usize,
+) {
+    let flow = ctx.flow.id;
+    match ctx.shared.strided_node_step(astride) {
+        Some(node_step) => out.units.push(UnitSeq::SharedRun {
+            flow,
+            thread0,
+            count,
+            node0: ctx.shared.module_of(a0),
+            node_step,
+            nodes: ctx.shared.modules(),
+        }),
+        None => out.units.extend(
+            ctx.shared
+                .strided_modules(a0, astride, count)
+                .enumerate()
+                .map(|(k, node)| UnitSeq::One(IssueUnit::shared_mem(flow, thread0 + k, node))),
+        ),
+    }
 }
 
 /// Walks two piece lists covering the same lane count in lockstep,
@@ -473,11 +493,12 @@ fn unwind(out: &mut FragOut, marks: (usize, usize, usize, usize)) {
     out.reg_affine.truncate(affine);
 }
 
-/// Emits the closed-form stores of lanes `[sub_lo, sub_lo + n)` — one
-/// [`UnitSeq::SharedRun`] plus one `StridedWrite` per sub-run of the union
-/// split of the base and value registers' run boundaries. `Err(Lanes)`
-/// when either register holds explicit lanes or an address progression
-/// escapes the [`strided_addr`] guard; `Err(Budget)` past the run budget.
+/// Emits the closed-form stores of lanes `[sub_lo, sub_lo + n)` — issue
+/// units ([`push_shared_units`]) plus one `StridedWrite` per sub-run of
+/// the union split of the base and value registers' run boundaries.
+/// `Err(Lanes)` when either register holds explicit lanes or an address
+/// progression escapes the [`strided_addr`] guard; `Err(Budget)` past the
+/// run budget.
 #[allow(clippy::too_many_arguments)]
 fn emit_strided_store(
     ctx: &ThickCtx<'_>,
@@ -504,17 +525,10 @@ fn emit_strided_store(
         return Err(MaskError::Budget);
     }
     let ok = each_piece_pair(a, b, |start, m, (ab, astride), (vb, vstride)| {
-        let Some((a0, node_step)) = strided_addr(ctx, ab, off, astride, m) else {
+        let Some(a0) = strided_addr(ab, off, astride, m) else {
             return false;
         };
-        out.units.push(UnitSeq::SharedRun {
-            flow: flow.id,
-            thread0: sub_lo + start,
-            count: m,
-            node0: ctx.shared.module_of(a0),
-            node_step,
-            nodes: ctx.shared.modules(),
-        });
+        push_shared_units(ctx, out, sub_lo + start, a0, astride, m);
         out.refs.push(MemRef::new(
             RefOrigin::new(ctx.group, flow.rank_base + sub_lo + start),
             MemOp::StridedWrite {
@@ -547,10 +561,9 @@ fn emit_strided_store(
 /// operands produce masks (segment runs) instead of decaying. Returns
 /// `false` to fall back to the per-lane loop only when the algebra
 /// genuinely escapes (per-thread operands, guarded comparisons out of
-/// exact range, wrapping/clamping addresses, hashed module maps on
-/// strided targets, local memory) or when the run count exceeds
-/// [`MASK_RUN_BUDGET`] (the `decay_mask_runs` taxonomy reason, flagged on
-/// `out.mask_decay`). Multioperations and multiprefixes with piecewise
+/// exact range, wrapping/clamping addresses, local memory) or when the
+/// run count exceeds [`MASK_RUN_BUDGET`] (the `decay_mask_runs` taxonomy
+/// reason, flagged on `out.mask_decay`). Multioperations and multiprefixes with piecewise
 /// base and contribution operands compress to one [`MemOp::BulkMulti`]
 /// reference per sub-run.
 ///
@@ -766,18 +779,10 @@ fn exec_thick_compressed(ctx: &ThickCtx<'_>, out: &mut FragOut, scratch: &mut Ma
             space: MemSpace::Shared,
         } => {
             if let Some((ab, astride)) = affine_reg(base) {
-                let (a0, node_step) = match strided_addr(ctx, ab, off, astride, len) {
-                    Some(x) => x,
-                    None => return false,
+                let Some(a0) = strided_addr(ab, off, astride, len) else {
+                    return false;
                 };
-                out.units.push(UnitSeq::SharedRun {
-                    flow: fid,
-                    thread0: lo,
-                    count: len,
-                    node0: ctx.shared.module_of(a0),
-                    node_step,
-                    nodes: ctx.shared.modules(),
-                });
+                push_shared_units(ctx, out, lo, a0, astride, len);
                 out.wbs.push((
                     rd,
                     WbTarget::Lanes {
@@ -818,19 +823,12 @@ fn exec_thick_compressed(ctx: &ThickCtx<'_>, out: &mut FragOut, scratch: &mut Ma
             let mut at = lo;
             for s in &scratch.a {
                 let m = s.len as usize;
-                let Some((a0, node_step)) = strided_addr(ctx, s.base, off, s.stride, m) else {
+                let Some(a0) = strided_addr(s.base, off, s.stride, m) else {
                     unwind(out, marks);
                     out.mask_miss = true;
                     return false;
                 };
-                out.units.push(UnitSeq::SharedRun {
-                    flow: fid,
-                    thread0: at,
-                    count: m,
-                    node0: ctx.shared.module_of(a0),
-                    node_step,
-                    nodes: ctx.shared.modules(),
-                });
+                push_shared_units(ctx, out, at, a0, s.stride, m);
                 out.wbs
                     .push((rd, WbTarget::Lanes { base: at, count: m }, out.refs.len()));
                 out.refs.push(MemRef::new(
@@ -1021,26 +1019,18 @@ fn exec_thick_compressed(ctx: &ThickCtx<'_>, out: &mut FragOut, scratch: &mut Ma
                 &scratch.a,
                 &scratch.b,
                 |start, m, (ab, astride), (vb, vstride)| {
-                    let (a0, node_step) = if astride == 0 {
+                    let a0 = if astride == 0 {
                         // Uniform base: every lane targets one word, and the
                         // per-lane wrap/clamp applies identically to each lane —
-                        // no exactness guard needed, and the single module works
-                        // under any map (node step 0).
-                        (to_addr(ab.wrapping_add(off)), 0)
+                        // no exactness guard needed.
+                        to_addr(ab.wrapping_add(off))
                     } else {
-                        match strided_addr(ctx, ab, off, astride, m) {
-                            Some(x) => x,
+                        match strided_addr(ab, off, astride, m) {
+                            Some(a0) => a0,
                             None => return false,
                         }
                     };
-                    out.units.push(UnitSeq::SharedRun {
-                        flow: fid,
-                        thread0: lo + start,
-                        count: m,
-                        node0: ctx.shared.module_of(a0),
-                        node_step,
-                        nodes: ctx.shared.modules(),
-                    });
+                    push_shared_units(ctx, out, lo + start, a0, astride, m);
                     if let Some(rd) = rd {
                         out.wbs.push((
                             rd,
@@ -1686,96 +1676,24 @@ impl TcfMachine {
         }
     }
 
-    /// Phase 2: one PRAM memory step for all collected references —
-    /// sequential, or sharded per module under the parallel engine. Both
-    /// paths return identical replies and statistics (the shards resolve
-    /// through the same per-address logic and merge in module order).
+    /// Phase 2: one PRAM memory step for all collected references,
+    /// resolved on the coordinator under both engines. Per-module
+    /// resolution is a few word operations per reference, which a worker
+    /// fan-out cannot amortize: sharding it by module lost to this
+    /// sequential step on every measured workload.
     pub(crate) fn memory_step(&mut self, refs: &[MemRef]) -> Result<StepStats, TcfError> {
-        if refs.iter().any(|r| r.op.is_bulk()) {
-            // Strided bulk references resolve on the coordinator under
-            // BOTH engines: the disjoint fast path is already
-            // O(modules + conflicting lanes), so sharding buys nothing,
-            // and one code path keeps the engines trivially identical.
-            let mut bulk = std::mem::take(&mut self.mem_bulk);
-            let r = self
-                .shared
-                .step_bulk_into(
-                    refs,
-                    &mut self.mem_scratch,
-                    &mut self.mem_replies,
-                    &mut bulk,
-                )
-                .map_err(|e| self.host_err(e.into()));
-            self.mem_bulk = bulk;
-            return r;
-        }
-        self.mem_bulk.clear();
-        let pool = match (&self.engine, &self.pool) {
-            (Engine::Parallel { .. }, Some(pool))
-                if refs.len() > 1 && self.shared.modules() > 1 =>
-            {
-                Arc::clone(pool)
-            }
-            _ => {
-                return self
-                    .shared
-                    .step_into(refs, &mut self.mem_scratch, &mut self.mem_replies)
-                    .map_err(|e| self.host_err(e.into()));
-            }
-        };
-        let mut stats = self
+        let mut bulk = std::mem::take(&mut self.mem_bulk);
+        let r = self
             .shared
-            .shard_refs_into(refs, &mut self.mem_buckets)
-            .map_err(|e| self.host_err(e.into()))?;
-        let shared = &self.shared;
-        let buckets = &self.mem_buckets;
-        debug_assert_eq!(buckets.len(), self.shard_scratch.len());
-        let n_active = buckets.iter().filter(|b| !b.is_empty()).count();
-        let mut slots: Vec<Option<Result<ShardOutcome, MemError>>> = vec![None; n_active];
-        {
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(n_active);
-            let mut slot_iter = slots.iter_mut();
-            // Zipping buckets with the per-module scratch keeps each
-            // worker on its own buffers (workers only hold `&self.shared`).
-            for (idxs, scratch) in buckets.iter().zip(self.shard_scratch.iter_mut()) {
-                if idxs.is_empty() {
-                    continue;
-                }
-                let slot = slot_iter.next().expect("one slot per active bucket");
-                tasks.push(Box::new(move || {
-                    *slot = Some(shared.resolve_shard_with(refs, idxs, scratch));
-                }));
-            }
-            pool.run(tasks);
-        }
-        let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(slots.len());
-        let mut fault: Option<MemError> = None;
-        for slot in slots {
-            match slot.expect("pool ran every task") {
-                Ok(o) => outcomes.push(o),
-                Err(e) => {
-                    // The sequential step resolves addresses in ascending
-                    // order: the lowest faulting address wins.
-                    if fault.as_ref().map(|f| e.addr() < f.addr()).unwrap_or(true) {
-                        fault = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = fault {
-            return Err(self.host_err(e.into()));
-        }
-        self.mem_replies.clear();
-        self.mem_replies.resize(refs.len(), None);
-        for o in &outcomes {
-            stats.hot_addrs += o.hot_addrs;
-            stats.combined += o.combined;
-            for &(i, v) in &o.replies {
-                self.mem_replies[i] = Some(v);
-            }
-        }
-        self.shared.commit_shards(&outcomes);
-        Ok(stats)
+            .step_bulk_into(
+                refs,
+                &mut self.mem_scratch,
+                &mut self.mem_replies,
+                &mut bulk,
+            )
+            .map_err(|e| self.host_err(e.into()));
+        self.mem_bulk = bulk;
+        r
     }
 }
 

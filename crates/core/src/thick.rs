@@ -1210,6 +1210,20 @@ impl ThickRegs {
             *v = ThickValue::PerThread(v.materialize(thickness.max(1)));
         }
     }
+
+    /// Test support: rewrites every affine or segment-run register into
+    /// per-thread form and leaves uniform ones as they are. Every
+    /// uniform-operand scalarization decision stays as it was, while
+    /// thick instructions over those registers take the per-lane path —
+    /// the reference the compressed path's timing and statistics must
+    /// match.
+    pub fn materialize_compressed(&mut self, thickness: usize) {
+        for v in &mut self.regs {
+            if matches!(v, ThickValue::Affine { .. } | ThickValue::Segments(_)) {
+                *v = ThickValue::PerThread(v.materialize(thickness.max(1)));
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,12 @@
 //! `uniform_over` read deciding "scalarize" must never change what the
 //! program computes.
 //!
+//! The same oracles pin the compressed path's timing. A second reference
+//! materializes only the affine and segment-run registers, so the
+//! scalarization decisions stand and thick instructions run per lane; it
+//! must match the step's machine, network and memory statistics too. Every
+//! oracle runs under both interleaved and hashed placement.
+//!
 //! The property is deliberately *per step at the current thickness*, not
 //! whole-run: `Uniform(v)` and `PerThread([v; T])` are only equivalent up
 //! to thickness `T`. A later `setthick` to a larger thickness reads `v`
@@ -35,6 +41,7 @@ use tcf_isa::program::Program;
 use tcf_isa::reg::{r, Reg, SpecialReg};
 use tcf_isa::word::Word;
 use tcf_machine::MachineConfig;
+use tcf_mem::ModuleMap;
 
 const MEM_WINDOW: usize = 4096;
 const MAX_STEPS: u64 = 200_000;
@@ -223,9 +230,19 @@ fn lower(segments: &[Segment]) -> Program {
     Program::new(instrs, Default::default(), vec![]).unwrap()
 }
 
-fn machine(program: Program) -> TcfMachine {
+/// The placements every oracle runs under: low-order interleaving, where
+/// strided lane runs time as one closed-form span, and the randomizing
+/// hash, where they keep their compressed memory references but time lane
+/// by lane.
+fn maps() -> [ModuleMap; 2] {
+    [ModuleMap::Interleaved, ModuleMap::linear(0x5EED)]
+}
+
+fn machine(program: Program, map: ModuleMap) -> TcfMachine {
+    let mut config = MachineConfig::small();
+    config.module_map = map;
     TcfMachine::with_allocation(
-        MachineConfig::small(),
+        config,
         Variant::SingleInstruction,
         program,
         Allocation::Horizontal,
@@ -239,31 +256,96 @@ fn step_n(m: &mut TcfMachine, k: u64) {
     }
 }
 
-/// Memory-effect comparison of step `k`: the scalarized step against the
-/// same step with all registers force-materialized first. Deterministic
-/// execution makes the two machines' states identical after the shared
-/// `k`-step prefix, so any divergence is the scalarization decision's.
-fn check_step(program: &Program, k: u64) -> Result<(), String> {
-    let mut fast = machine(program.clone());
-    step_n(&mut fast, k);
-    let mut general = machine(program.clone());
-    step_n(&mut general, k);
-    general.materialize_all_registers();
-    let a = fast.step().expect("scalarized step faulted");
-    let b = general.step().expect("materialized step faulted");
-    if a != b {
-        return Err(format!("halt status diverged at step {k}: {a} vs {b}"));
+/// Runs the `k`-step prefix of `program`, applies `prepare`, and takes
+/// step `k`; returns the step's halt status and the machine.
+fn stepped(
+    program: &Program,
+    k: u64,
+    map: ModuleMap,
+    engine: Engine,
+    prepare: fn(&mut TcfMachine),
+) -> (bool, TcfMachine) {
+    let mut m = machine(program.clone(), map);
+    m.set_engine(engine);
+    step_n(&mut m, k);
+    prepare(&mut m);
+    let halted = m.step().expect("step faulted");
+    (halted, m)
+}
+
+/// Step `k` of `program` as it runs (`fast`), against the same step with
+/// registers force-materialized first. Deterministic execution makes the
+/// states identical after the shared prefix, so any divergence is the
+/// compressed path's.
+///
+/// * With *every* register materialized, uniform operands lose their
+///   scalarization too, which changes the step's unit counts by design;
+///   memory must still agree.
+/// * With only the affine and segment-run registers materialized, the
+///   scalarization decisions stand and thick instructions take the
+///   per-lane path. Memory and every simulated statistic must agree:
+///   machine cycles and unit counts, network messages, hops and queueing,
+///   and memory per-module loads. Only `route_sends` may differ — it
+///   counts how the timing model reused routes, not what it simulated.
+fn check_step_with(
+    program: &Program,
+    k: u64,
+    map: ModuleMap,
+    engine: Engine,
+) -> Result<(), String> {
+    let (a, fast) = stepped(program, k, map, engine, |_| {});
+    let (b, general) = stepped(program, k, map, engine, |m| m.materialize_all_registers());
+    let (c, lanes) = stepped(program, k, map, engine, |m| {
+        m.materialize_compressed_registers()
+    });
+    if a != b || a != c {
+        return Err(format!(
+            "halt status diverged at step {k}: {a} vs {b} (materialized) vs {c} (per-lane)"
+        ));
     }
+    same_memory(&fast, &general, k, "materialized")?;
+    same_memory(&fast, &lanes, k, "per-lane")?;
+    if fast.stats() != lanes.stats() {
+        return Err(format!(
+            "step {k}: machine stats diverged:\n{:?}\n{:?}",
+            fast.stats(),
+            lanes.stats()
+        ));
+    }
+    let mut na = fast.net_stats().clone();
+    let mut nb = lanes.net_stats().clone();
+    na.route_sends = 0;
+    nb.route_sends = 0;
+    if na != nb {
+        return Err(format!("step {k}: net stats diverged:\n{na:?}\n{nb:?}"));
+    }
+    if fast.mem_stats() != lanes.mem_stats() {
+        return Err(format!(
+            "step {k}: mem stats diverged:\n{:?}\n{:?}",
+            fast.mem_stats(),
+            lanes.mem_stats()
+        ));
+    }
+    Ok(())
+}
+
+/// Compares the shared-memory window of two machines after step `k`.
+fn same_memory(fast: &TcfMachine, other: &TcfMachine, k: u64, what: &str) -> Result<(), String> {
     let ma = fast.peek_range(0, MEM_WINDOW).unwrap();
-    let mb = general.peek_range(0, MEM_WINDOW).unwrap();
+    let mb = other.peek_range(0, MEM_WINDOW).unwrap();
     for (addr, (x, y)) in ma.iter().zip(&mb).enumerate() {
         if x != y {
             return Err(format!(
-                "step {k} diverged at mem[{addr}]: scalarized={x} materialized={y}"
+                "step {k} diverged at mem[{addr}]: compressed={x} {what}={y}"
             ));
         }
     }
     Ok(())
+}
+
+/// [`check_step_with`] on the ambient engine (`TCF_ENGINE`).
+fn check_step(program: &Program, k: u64, map: ModuleMap) -> Result<(), String> {
+    check_step_with(program, k, map, Engine::from_env())
 }
 
 proptest! {
@@ -276,16 +358,20 @@ proptest! {
         segments in prop::collection::vec(arb_segment(), 1..12)
     ) {
         let program = lower(&segments);
-        // Count the program's steps with one plain run.
-        let mut probe = machine(program.clone());
-        let mut steps = 0u64;
-        while probe.step().expect("program halts") {
-            steps += 1;
-            prop_assert!(steps < MAX_STEPS, "program did not halt");
-        }
-        for k in 0..=steps {
-            if let Err(e) = check_step(&program, k) {
-                return Err(TestCaseError::fail(format!("{e}\nprogram:\n{program}")));
+        for map in maps() {
+            // Count the program's steps with one plain run.
+            let mut probe = machine(program.clone(), map);
+            let mut steps = 0u64;
+            while probe.step().expect("program halts") {
+                steps += 1;
+                prop_assert!(steps < MAX_STEPS, "program did not halt");
+            }
+            for k in 0..=steps {
+                if let Err(e) = check_step(&program, k, map) {
+                    return Err(TestCaseError::fail(format!(
+                        "{map:?}: {e}\nprogram:\n{program}"
+                    )));
+                }
             }
         }
     }
@@ -581,35 +667,6 @@ fn masked_program(op: AluOp, t: usize, cut: Word, sel_imm: Word) -> Program {
     Program::new(instrs, Default::default(), vec![]).unwrap()
 }
 
-/// [`check_step`] with an explicit engine on both machines, so the masked
-/// compressed path is compared against the per-lane reference under both
-/// the sequential and the deterministic parallel engine regardless of the
-/// ambient `TCF_ENGINE`.
-fn check_step_with(program: &Program, k: u64, engine: Engine) -> Result<(), String> {
-    let mut fast = machine(program.clone());
-    fast.set_engine(engine);
-    step_n(&mut fast, k);
-    let mut general = machine(program.clone());
-    general.set_engine(engine);
-    step_n(&mut general, k);
-    general.materialize_all_registers();
-    let a = fast.step().expect("masked step faulted");
-    let b = general.step().expect("materialized step faulted");
-    if a != b {
-        return Err(format!("halt status diverged at step {k}: {a} vs {b}"));
-    }
-    let ma = fast.peek_range(0, MEM_WINDOW).unwrap();
-    let mb = general.peek_range(0, MEM_WINDOW).unwrap();
-    for (addr, (x, y)) in ma.iter().zip(&mb).enumerate() {
-        if x != y {
-            return Err(format!(
-                "step {k} diverged at mem[{addr}]: masked={x} materialized={y}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -630,18 +687,20 @@ proptest! {
     ) {
         for &op in AluOp::ALL.iter() {
             let program = masked_program(op, t, cut, sel_imm);
-            let mut probe = machine(program.clone());
-            let mut steps = 0u64;
-            while probe.step().expect("program halts") {
-                steps += 1;
-                prop_assert!(steps < MAX_STEPS, "program did not halt");
-            }
-            for k in 0..=steps {
-                for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
-                    if let Err(e) = check_step_with(&program, k, engine) {
-                        return Err(TestCaseError::fail(format!(
-                            "{op:?} under {engine:?}: {e}\nprogram:\n{program}"
-                        )));
+            for map in maps() {
+                let mut probe = machine(program.clone(), map);
+                let mut steps = 0u64;
+                while probe.step().expect("program halts") {
+                    steps += 1;
+                    prop_assert!(steps < MAX_STEPS, "program did not halt");
+                }
+                for k in 0..=steps {
+                    for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
+                        if let Err(e) = check_step_with(&program, k, map, engine) {
+                            return Err(TestCaseError::fail(format!(
+                                "{op:?} under {engine:?}, {map:?}: {e}\nprogram:\n{program}"
+                            )));
+                        }
                     }
                 }
             }

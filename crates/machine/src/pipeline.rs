@@ -380,11 +380,7 @@ impl GroupPipeline {
                             let u = s.unit_at(k);
                             self.issue_one(&mut st, &u, width, serialize_mem, net, trace, stats);
                         }
-                    } else if let (0, Some(fwd), Some(rev)) = (
-                        node_step,
-                        net.route_to(self.group, node0),
-                        net.route_to(node0, self.group),
-                    ) {
+                    } else if node_step == 0 {
                         // Every lane targets the same module (the
                         // bulk-multioperation shape): both routes repeat
                         // per message. Message 0 walks the router exactly;
@@ -395,6 +391,8 @@ impl GroupPipeline {
                         // collapses to closed-form occupancy shifts and
                         // cadence-ramp statistics — O(log T) per run
                         // instead of O(T).
+                        let fwd = net.route(self.group, node0);
+                        let rev = net.route(node0, self.group);
                         if st.issued_this_cycle >= width {
                             st.t += 1;
                             st.issued_this_cycle = 0;

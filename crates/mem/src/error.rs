@@ -42,19 +42,6 @@ pub enum MemError {
     },
 }
 
-impl MemError {
-    /// The faulting address, used to pick the *first* (lowest-address)
-    /// fault when per-module shards of one step fault independently.
-    pub fn addr(&self) -> Addr {
-        match *self {
-            MemError::OutOfBounds { addr, .. }
-            | MemError::LocalOutOfBounds { addr, .. }
-            | MemError::CommonWriteConflict { addr }
-            | MemError::ExclusiveViolation { addr, .. } => addr,
-        }
-    }
-}
-
 impl fmt::Display for MemError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -35,10 +35,8 @@ pub mod shared;
 pub mod stats;
 
 pub use error::MemError;
-pub use hash::ModuleMap;
+pub use hash::{ModuleMap, StridedModules};
 pub use local::LocalMemory;
 pub use refs::{MemOp, MemRef, RefOrigin};
-pub use shared::{
-    BulkPathStats, BulkReplies, BulkView, CrcwPolicy, ShardOutcome, SharedMemory, StepScratch,
-};
+pub use shared::{BulkPathStats, BulkReplies, BulkView, CrcwPolicy, SharedMemory, StepScratch};
 pub use stats::StepStats;

@@ -8,7 +8,7 @@ use tcf_isa::program::DataBlock;
 use tcf_isa::word::{Addr, Word};
 
 use crate::error::MemError;
-use crate::hash::ModuleMap;
+use crate::hash::{ModuleMap, StridedModules};
 use crate::module::combine;
 use crate::refs::{MemOp, MemRef, RefOrigin};
 use crate::stats::StepStats;
@@ -36,27 +36,6 @@ pub enum CrcwPolicy {
     Erew,
 }
 
-/// Outcome of resolving one module's references without mutating the
-/// memory (see [`SharedMemory::resolve_shard`]): the values staged for the
-/// module's addresses, the replies owed to individual references, and the
-/// shard's contribution to the step statistics.
-///
-/// Shards of one step touch disjoint address sets (an address maps to
-/// exactly one module), so outcomes can be produced concurrently and
-/// committed in any order; every ordering-sensitive decision (CRCW winner,
-/// multiprefix order) is taken inside the shard from reference ranks.
-#[derive(Debug, Clone, Default)]
-pub struct ShardOutcome {
-    /// `(addr, new value)` pairs to apply at commit.
-    pub staged: Vec<(Addr, Word)>,
-    /// `(reference index, reply)` pairs for `Read`/`Prefix` references.
-    pub replies: Vec<(usize, Word)>,
-    /// Addresses that received more than one reference.
-    pub hot_addrs: usize,
-    /// References absorbed by combining.
-    pub combined: usize,
-}
-
 /// How bulk (strided) references were resolved so far: through the
 /// disjoint closed-form path or through literal lane expansion. These are
 /// memory-lifetime counters (not per-step [`StepStats`]) so the
@@ -81,10 +60,9 @@ pub struct BulkPathStats {
 /// fresh `BTreeMap<Addr, Vec<usize>>` (plus per-address vectors) each time
 /// dominated the resolution cost. A `StepScratch` persists across steps —
 /// its vectors reach the workload's high-water mark once and then recycle
-/// their allocations. [`SharedMemory::step_with`] and
-/// [`SharedMemory::resolve_shard_with`] take one; the scratch-free
-/// [`step`](SharedMemory::step)/[`resolve_shard`](SharedMemory::resolve_shard)
-/// wrappers build a throwaway (tests, one-shot host calls).
+/// their allocations. [`SharedMemory::step_with`] takes one; the
+/// scratch-free [`step`](SharedMemory::step) wrapper builds a throwaway
+/// (tests, one-shot host calls).
 ///
 /// Determinism is unchanged: the pair sort orders by `(addr, ref index)`,
 /// reproducing the old map's ascending-address iteration with
@@ -243,15 +221,25 @@ impl SharedMemory {
     /// Per-lane module increment of an address progression with the given
     /// stride, when the module map preserves progressions: under low-order
     /// interleaving lane `k` of a strided access hits module
-    /// `(module_of(base) + k·step) mod modules`. A hashed map scatters the
-    /// progression, so there is no step — callers fall back to per-lane
-    /// module lookups.
+    /// `(module_of(base) + k·step) mod modules`, and a zero stride stays
+    /// on one module under any map. A hashed map scatters a nonzero
+    /// stride's progression, so there is no step — callers walk it with
+    /// [`strided_modules`](SharedMemory::strided_modules).
     #[inline]
     pub fn strided_node_step(&self, stride: i64) -> Option<usize> {
         match self.map {
+            _ if stride == 0 => Some(0),
             ModuleMap::Interleaved => Some(stride.rem_euclid(self.modules as i64) as usize),
             ModuleMap::LinearHash { .. } => None,
         }
+    }
+
+    /// The modules of the address progression `base + k·stride`,
+    /// `k = 0..count`, in lane order ([`ModuleMap::strided_modules`] over
+    /// this memory's modules). Every lane address must be exact.
+    #[inline]
+    pub fn strided_modules(&self, base: Addr, stride: i64, count: usize) -> StridedModules {
+        self.map.strided_modules(base, stride, count, self.modules)
     }
 
     /// Host read (no step semantics), for runtimes and tests.
@@ -441,11 +429,9 @@ impl SharedMemory {
 
     /// Resolves every reference to one address (the `run` of sorted
     /// `(addr, index)` pairs): CRCW policy checks, plain write resolution,
-    /// multioperation combining. Pure with respect to the stored words;
-    /// both the sequential [`step`](SharedMemory::step) and the sharded
-    /// path go through here so the two cannot diverge. Replies append to
-    /// `replies`; returns `(staged value, references absorbed by
-    /// combining)`.
+    /// multioperation combining. Pure with respect to the stored words.
+    /// Replies append to `replies`; returns `(staged value, references
+    /// absorbed by combining)`.
     fn resolve_addr(
         &self,
         addr: Addr,
@@ -580,113 +566,6 @@ impl SharedMemory {
         }
 
         Ok((value, combined))
-    }
-
-    /// Buckets `refs` (by index) per module, bounds-checking every address
-    /// up front — the first out-of-bounds reference in issue order faults,
-    /// exactly as [`step`](SharedMemory::step) does. Returns the buckets
-    /// and a [`StepStats`] with `refs`/`per_module` filled in; the caller
-    /// accumulates `hot_addrs`/`combined` from the shard outcomes.
-    pub fn shard_refs(&self, refs: &[MemRef]) -> Result<(Vec<Vec<usize>>, StepStats), MemError> {
-        let mut buckets = Vec::new();
-        let stats = self.shard_refs_into(refs, &mut buckets)?;
-        Ok((buckets, stats))
-    }
-
-    /// [`shard_refs`](SharedMemory::shard_refs) into caller-owned buckets:
-    /// the outer vector is resized to the module count and every inner
-    /// vector is cleared, so a machine reusing the same buckets each step
-    /// stops allocating once they reach the workload's high-water mark.
-    pub fn shard_refs_into(
-        &self,
-        refs: &[MemRef],
-        buckets: &mut Vec<Vec<usize>>,
-    ) -> Result<StepStats, MemError> {
-        debug_assert!(
-            refs.iter().all(|r| !r.op.is_bulk()),
-            "bulk references resolve through the sequential step_bulk_into"
-        );
-        let mut stats = StepStats::new(self.modules);
-        stats.refs = refs.len();
-        buckets.resize_with(self.modules, Vec::new);
-        for b in buckets.iter_mut() {
-            b.clear();
-        }
-        for (i, r) in refs.iter().enumerate() {
-            let addr = r.op.addr();
-            if addr >= self.words.len() {
-                return Err(MemError::OutOfBounds {
-                    addr,
-                    size: self.words.len(),
-                });
-            }
-            let m = self.module_of(addr);
-            stats.per_module[m] += 1;
-            buckets[m].push(i);
-        }
-        Ok(stats)
-    }
-
-    /// Resolves one module's references (`idxs` into `refs`, as produced
-    /// by [`shard_refs`](SharedMemory::shard_refs)) without mutating the
-    /// memory. Addresses resolve in ascending order, so a faulting shard
-    /// reports its *lowest* faulting address — the caller takes the
-    /// minimum over shards to reproduce the sequential step's first fault.
-    pub fn resolve_shard(&self, refs: &[MemRef], idxs: &[usize]) -> Result<ShardOutcome, MemError> {
-        let mut scratch = StepScratch::default();
-        self.resolve_shard_with(refs, idxs, &mut scratch)
-    }
-
-    /// [`resolve_shard`](SharedMemory::resolve_shard) with caller-provided
-    /// scratch. Concurrent shard workers each need their own
-    /// [`StepScratch`]; a machine keeps one per module so the parallel
-    /// resolution path stays allocation-free in steady state (the returned
-    /// [`ShardOutcome`] still owns its staged/reply vectors — they outlive
-    /// the call).
-    pub fn resolve_shard_with(
-        &self,
-        refs: &[MemRef],
-        idxs: &[usize],
-        scratch: &mut StepScratch,
-    ) -> Result<ShardOutcome, MemError> {
-        scratch.pairs.clear();
-        scratch
-            .pairs
-            .extend(idxs.iter().map(|&i| (refs[i].op.addr(), i)));
-        scratch.pairs.sort_unstable();
-        let mut out = ShardOutcome::default();
-        let mut start = 0;
-        while start < scratch.pairs.len() {
-            let addr = scratch.pairs[start].0;
-            let mut end = start + 1;
-            while end < scratch.pairs.len() && scratch.pairs[end].0 == addr {
-                end += 1;
-            }
-            let value = if end - start == 1 {
-                self.resolve_single(scratch.pairs[start].1, refs, &mut out.replies)
-            } else {
-                out.hot_addrs += 1;
-                let run = &scratch.pairs[start..end];
-                let (value, combined) =
-                    self.resolve_addr(addr, run, refs, &mut scratch.addr, &mut out.replies)?;
-                out.combined += combined;
-                value
-            };
-            out.staged.push((addr, value));
-            start = end;
-        }
-        Ok(out)
-    }
-
-    /// Applies staged shard outcomes. Shards stage disjoint address sets,
-    /// so the application order is immaterial; commit nothing when any
-    /// shard faulted to keep the step atomic.
-    pub fn commit_shards(&mut self, outcomes: &[ShardOutcome]) {
-        for o in outcomes {
-            for &(addr, value) in &o.staged {
-                self.words[addr] = value;
-            }
-        }
     }
 
     /// [`step`](SharedMemory::step) for reference lists that may contain
@@ -1161,12 +1040,21 @@ impl SharedMemory {
     }
 
     /// Adds a strided reference's per-module load to `stats`, matching
-    /// the lane expansion. Under low-order interleaving the progression's
-    /// residues cycle with period `modules / gcd(stride, modules)`, so
-    /// the count folds into one pass over that cycle; a hashed map gets
-    /// the per-lane walk.
+    /// the lane expansion. A zero stride puts every lane on one word, so
+    /// one lookup counts it under any map. Under low-order interleaving
+    /// the progression's residues cycle with period
+    /// `modules / gcd(stride, modules)`, so the count folds into one pass
+    /// over that cycle; a hashed map walks the progression through
+    /// [`ModuleMap::strided_modules`].
     fn count_strided_modules(&self, base: Addr, stride: i64, count: u32, stats: &mut StepStats) {
         let count = count as usize;
+        if count == 0 {
+            return;
+        }
+        if stride == 0 {
+            stats.per_module[self.module_of(base)] += count;
+            return;
+        }
         match self.map {
             ModuleMap::Interleaved => {
                 let m = self.modules;
@@ -1180,9 +1068,8 @@ impl SharedMemory {
                 }
             }
             ModuleMap::LinearHash { .. } => {
-                for k in 0..count {
-                    let addr = (base as i64 + k as i64 * stride) as usize;
-                    stats.per_module[self.module_of(addr)] += 1;
+                for module in self.strided_modules(base, stride, count) {
+                    stats.per_module[module] += 1;
                 }
             }
         }
@@ -1600,100 +1487,6 @@ mod tests {
         assert_eq!(m.peek(1).unwrap(), 0); // first write not applied
     }
 
-    /// Drives the sharding API the way the parallel engine does and
-    /// returns the same `(replies, stats)` shape as `step`.
-    fn sharded_step(
-        m: &mut SharedMemory,
-        refs: &[MemRef],
-    ) -> Result<(Vec<Option<Word>>, StepStats), MemError> {
-        let (buckets, mut stats) = m.shard_refs(refs)?;
-        let mut outcomes = Vec::new();
-        let mut fault: Option<MemError> = None;
-        for b in buckets.iter().filter(|b| !b.is_empty()) {
-            match m.resolve_shard(refs, b) {
-                Ok(o) => outcomes.push(o),
-                Err(e) => {
-                    if fault.as_ref().map(|f| e.addr() < f.addr()).unwrap_or(true) {
-                        fault = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = fault {
-            return Err(e);
-        }
-        let mut replies = vec![None; refs.len()];
-        for o in &outcomes {
-            stats.hot_addrs += o.hot_addrs;
-            stats.combined += o.combined;
-            for &(i, v) in &o.replies {
-                replies[i] = Some(v);
-            }
-        }
-        m.commit_shards(&outcomes);
-        Ok((replies, stats))
-    }
-
-    #[test]
-    fn sharded_step_matches_sequential_step() {
-        // A mixed bag across modules: reads, competing writes, multi-adds
-        // and prefixes, some sharing addresses.
-        let refs = vec![
-            rref(0, 5),
-            wref(1, 5, 70),
-            wref(9, 5, 90),
-            MemRef::new(RefOrigin::new(0, 2), MemOp::Prefix(MultiKind::Add, 9, 3)),
-            MemRef::new(RefOrigin::new(1, 3), MemOp::Prefix(MultiKind::Add, 9, 4)),
-            MemRef::new(RefOrigin::new(1, 4), MemOp::Multi(MultiKind::Max, 13, 44)),
-            wref(5, 2, 11),
-            rref(6, 2),
-            rref(7, 63),
-        ];
-        for policy in [CrcwPolicy::Arbitrary, CrcwPolicy::Priority] {
-            let mut seq = sm(policy);
-            let mut par = sm(policy);
-            for a in 0..64 {
-                seq.poke(a, a as Word * 10).unwrap();
-                par.poke(a, a as Word * 10).unwrap();
-            }
-            let (r1, s1) = seq.step(&refs).unwrap();
-            let (r2, s2) = sharded_step(&mut par, &refs).unwrap();
-            assert_eq!(r1, r2);
-            assert_eq!(s1, s2);
-            for a in 0..64 {
-                assert_eq!(seq.peek(a).unwrap(), par.peek(a).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_step_faults_atomically_with_lowest_address() {
-        // Module 1 (addr 9) and module 3 (addr 3) both violate CREW; the
-        // reported fault must be the lowest address, and nothing commits.
-        let refs = vec![
-            wref(0, 9, 1),
-            wref(1, 9, 2),
-            wref(2, 3, 5),
-            wref(3, 3, 6),
-            wref(4, 8, 77),
-        ];
-        let mut seq = sm(CrcwPolicy::Crew);
-        let mut par = sm(CrcwPolicy::Crew);
-        let e1 = seq.step(&refs).unwrap_err();
-        let e2 = sharded_step(&mut par, &refs).unwrap_err();
-        assert_eq!(e1, e2);
-        assert!(matches!(e2, MemError::ExclusiveViolation { addr: 3, .. }));
-        assert_eq!(par.peek(8).unwrap(), 0); // non-faulting shard not applied
-    }
-
-    #[test]
-    fn shard_refs_reports_first_out_of_bounds_in_issue_order() {
-        let m = sm(CrcwPolicy::Arbitrary);
-        let refs = vec![wref(0, 1, 7), wref(1, 9999, 1), wref(2, 8888, 1)];
-        let e = m.shard_refs(&refs).unwrap_err();
-        assert!(matches!(e, MemError::OutOfBounds { addr: 9999, .. }));
-    }
-
     #[test]
     fn multikind_cast_indexes_declaration_order() {
         // The per-kind combine buffers are indexed by `kind as usize`;
@@ -1800,6 +1593,26 @@ mod tests {
                             (base as i64 + k as i64 * stride) as usize,
                             vbase.wrapping_add((k as Word).wrapping_mul(vstride)),
                         ),
+                    )
+                })),
+                MemOp::BulkMulti {
+                    kind,
+                    prefix,
+                    base,
+                    astride,
+                    count,
+                    vbase,
+                    vstride,
+                } => flat.extend((0..count as usize).map(|k| {
+                    let addr = (base as i64 + k as i64 * astride) as usize;
+                    let v = vbase.wrapping_add((k as Word).wrapping_mul(vstride));
+                    MemRef::new(
+                        RefOrigin::new(r.origin.group, r.origin.rank + k),
+                        if prefix {
+                            MemOp::Prefix(kind, addr, v)
+                        } else {
+                            MemOp::Multi(kind, addr, v)
+                        },
                     )
                 })),
                 _ => flat.push(*r),
@@ -1986,22 +1799,53 @@ mod tests {
     #[test]
     fn bulk_module_stats_match_expansion() {
         // Strides that are coprime with, divide, and share factors with
-        // the module count, plus descending progressions.
-        for (base, stride, count) in [
+        // the module count, plus descending and zero-stride progressions,
+        // under interleaving and two hash seeds. Zero-stride strided reads
+        // self-overlap and expand; zero-astride multioperations take the
+        // fast path, so both kinds of zero stride are covered.
+        let maps = [
+            ModuleMap::Interleaved,
+            ModuleMap::linear(7),
+            ModuleMap::linear(0xC0FFEE),
+        ];
+        let shapes = [
             (0usize, 1i64, 13u32),
             (5, 3, 9),
             (0, 4, 10),
             (2, 6, 7),
             (63, -2, 20),
+            (40, -5, 9),
             (8, 0, 1),
-        ] {
-            let refs = [sread(0, base, stride, count)];
-            let mut a = sm(CrcwPolicy::Arbitrary);
-            let mut b = sm(CrcwPolicy::Arbitrary);
-            let (_, _, s1) = a.step_bulk(&refs).unwrap();
-            let (_, s2) = b.step(&expand(&refs)).unwrap();
-            assert_eq!(s1.per_module, s2.per_module, "stride {stride}");
-            assert_eq!(s1.refs, s2.refs);
+            (8, 0, 17),
+        ];
+        for map in maps {
+            for (base, stride, count) in shapes {
+                let multi = MemRef::new(
+                    RefOrigin::new(0, 0),
+                    MemOp::BulkMulti {
+                        kind: MultiKind::Add,
+                        prefix: false,
+                        base,
+                        astride: stride,
+                        count,
+                        vbase: 1,
+                        vstride: 0,
+                    },
+                );
+                for refs in [[sread(0, base, stride, count)], [multi]] {
+                    let mut a = SharedMemory::new(64, 4, map, CrcwPolicy::Arbitrary);
+                    let mut b = SharedMemory::new(64, 4, map, CrcwPolicy::Arbitrary);
+                    let (_, _, s1) = a.step_bulk(&refs).unwrap();
+                    let (_, s2) = b.step(&expand(&refs)).unwrap();
+                    let what = format!("{map:?} {:?}", refs[0].op);
+                    assert_eq!(s1.per_module, s2.per_module, "{what}");
+                    assert_eq!(s1.refs, s2.refs, "{what}");
+                    if matches!(refs[0].op, MemOp::BulkMulti { .. }) {
+                        // The counted (not expanded) path was the one checked.
+                        assert_eq!(a.bulk_stats().fast, 1, "{what}");
+                    }
+                }
+            }
         }
     }
 

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use tcf_isa::instr::MultiKind;
 use tcf_isa::word::Word;
+use tcf_mem::hash::HASH_PRIME;
 use tcf_mem::module::{fold_progression, fold_words};
 use tcf_mem::{CrcwPolicy, MemOp, MemRef, ModuleMap, RefOrigin, SharedMemory};
 
@@ -321,6 +322,47 @@ proptest! {
             prop_assert!(m1 < modules);
             prop_assert_eq!(m1, m2);
         }
+    }
+
+    /// The Mersenne-folded hash is bit-identical to the `u128 %`
+    /// reduction it replaced, kept here as the reference: any seed, any
+    /// address up to `usize::MAX`, any module count.
+    #[test]
+    fn mersenne_fold_matches_u128_modulo(
+        seed: u64,
+        addrs in prop::collection::vec(prop_oneof![any::<usize>(), Just(usize::MAX), 0usize..4096], 1..64),
+        modules in 1usize..1024,
+    ) {
+        let map = ModuleMap::linear(seed);
+        let ModuleMap::LinearHash { a, b } = map else { unreachable!() };
+        for &addr in &addrs {
+            let h = (a as u128 * addr as u128 + b as u128) % HASH_PRIME;
+            let reference = (h % modules as u128) as usize;
+            prop_assert_eq!(map.module_of(addr, modules), reference, "addr {}", addr);
+        }
+    }
+
+    /// Walking a progression's modules agrees lane for lane with
+    /// `module_of`, under interleaving and the hash, for ascending,
+    /// descending and zero strides.
+    #[test]
+    fn strided_modules_match_module_of(
+        seed: u64,
+        hashed: bool,
+        base in prop_oneof![0usize..4096, (usize::MAX / 2)..usize::MAX],
+        stride in prop_oneof![-64i64..64, any::<i32>().prop_map(i64::from)],
+        count in 0usize..200,
+        modules in 1usize..40,
+    ) {
+        let map = if hashed { ModuleMap::linear(seed) } else { ModuleMap::Interleaved };
+        // Keep every lane address exact (the walker's precondition).
+        let room = if stride > 0 { usize::MAX - base } else { base };
+        let count = count.min(room / stride.unsigned_abs().max(1) as usize + 1);
+        let walked: Vec<usize> = map.strided_modules(base, stride, count, modules).collect();
+        let direct: Vec<usize> = (0..count)
+            .map(|k| map.module_of((base as i128 + k as i128 * stride as i128) as usize, modules))
+            .collect();
+        prop_assert_eq!(walked, direct);
     }
 
     /// Per-module statistics always sum to the number of references.

@@ -15,8 +15,10 @@ use crate::topology::Topology;
 /// The interconnection network of one machine.
 ///
 /// Link and module occupancy live in flat vectors indexed by the
-/// topology's dense [`link_id`](Topology::link_id)s and node ids — the
-/// steady-state routing path performs no hashing and no allocation.
+/// topology's dense [`link_id`](Topology::link_id)s and node ids, and
+/// every pair's deterministic route is precomputed at construction — the
+/// steady-state routing path performs no topology arithmetic, no hashing
+/// and no allocation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Network {
     topology: Topology,
@@ -28,24 +30,26 @@ pub struct Network {
     /// reference (modules are pipelined with an initiation interval of
     /// one reference per cycle), indexed by node.
     service_free: Vec<u64>,
+    /// All-pairs route table: the directed-link ids of route `src -> dst`
+    /// in traversal order are
+    /// `route_links[route_start[p]..route_start[p + 1]]`, `p = src·n + dst`.
+    route_links: Vec<u32>,
+    /// Offsets into `route_links`, one per ordered pair plus an end mark.
+    route_start: Vec<u32>,
     stats: NetStats,
 }
 
-/// Longest path a precomputed [`Route`] can hold. Generous for the model's
-/// topologies (a 256-node ring has diameter 128, but machines that large
-/// are not simulated hop-exact); [`Network::route_to`] declines longer
-/// paths rather than truncating them.
-const MAX_ROUTE_HOPS: usize = 16;
-
-/// A precomputed unidirectional route: the dense directed-link ids from a
-/// source to a destination in traversal order, plus the contention-free
-/// one-way latency. Built once per lane run by
-/// [`Network::route_to`], then replayed per message by
-/// [`Network::send_on`].
+/// A precomputed unidirectional route: a window of the network's route
+/// table holding the dense directed-link ids from a source to a
+/// destination in traversal order, plus the contention-free one-way
+/// latency. Looked up once per lane run by [`Network::route_to`], then
+/// replayed per message by [`Network::send_on`] on the same network (or
+/// one over the same topology).
 #[derive(Debug, Clone, Copy)]
 pub struct Route {
-    links: [u32; MAX_ROUTE_HOPS],
-    hops: usize,
+    /// Offset of the first link in the route table.
+    start: u32,
+    hops: u32,
     /// Contention-free one-way latency (distance × hop latency).
     base: u64,
 }
@@ -54,20 +58,52 @@ impl Route {
     /// Hop count of the route (0 for a same-node pair).
     #[inline]
     pub fn hops(&self) -> usize {
-        self.hops
+        self.hops as usize
     }
+
+    /// The route's directed-link ids in traversal order, from the route
+    /// table `table` of the network that built it.
+    #[inline]
+    fn links<'t>(&self, table: &'t [u32]) -> &'t [u32] {
+        let start = self.start as usize;
+        &table[start..start + self.hops()]
+    }
+}
+
+/// A route-table offset or link id as stored in the table.
+fn table_offset(x: usize) -> u32 {
+    u32::try_from(x).expect("route table exceeds u32 offsets")
 }
 
 impl Network {
     /// Creates a network over `topology` charging `hop_latency` cycles per
-    /// hop (must be ≥ 1).
+    /// hop (must be ≥ 1), precomputing every pair's route. The table holds
+    /// one link id per hop of every ordered pair — 640 for the paper's
+    /// 4×4 mesh, about `n³/4` for an `n`-node ring.
     pub fn new(topology: Topology, hop_latency: u64) -> Network {
         assert!(hop_latency >= 1, "hop latency must be at least one cycle");
+        let n = topology.nodes();
+        let mut route_links = Vec::new();
+        let mut route_start = Vec::with_capacity(n * n + 1);
+        for src in 0..n {
+            for dst in 0..n {
+                route_start.push(table_offset(route_links.len()));
+                let mut prev = src;
+                while prev != dst {
+                    let next = topology.next_hop(prev, dst);
+                    route_links.push(table_offset(topology.link_id(prev, next)));
+                    prev = next;
+                }
+            }
+        }
+        route_start.push(table_offset(route_links.len()));
         Network {
             topology,
             hop_latency,
             link_free: vec![0; topology.link_count()],
-            service_free: vec![0; topology.nodes()],
+            service_free: vec![0; n],
+            route_links,
+            route_start,
             stats: NetStats::default(),
         }
     }
@@ -122,28 +158,8 @@ impl Network {
     /// cycle. Same-node messages are delivered immediately (the memory
     /// module is co-located with the processor group).
     pub fn send(&mut self, src: usize, dst: usize, now: u64) -> u64 {
-        self.stats.messages += 1;
-        if src == dst {
-            self.stats.local_deliveries += 1;
-            return now;
-        }
-        let mut t = now;
-        let mut prev = src;
-        while prev != dst {
-            let next = self.topology.next_hop(prev, dst);
-            self.stats.hops += 1;
-            let slot = &mut self.link_free[self.topology.link_id(prev, next)];
-            let enter = t.max(*slot);
-            *slot = enter + 1;
-            t = enter + self.hop_latency;
-            prev = next;
-        }
-        let lower_bound = now + self.base_latency(src, dst);
-        let queued = t - lower_bound;
-        self.stats.queue_cycles += queued;
-        self.stats.max_queue_cycles = self.stats.max_queue_cycles.max(queued);
-        self.stats.queue.record(queued);
-        t
+        let route = self.route(src, dst);
+        self.walk(&route, now)
     }
 
     /// Routes a batch in order; returns per-message delivery cycles and the
@@ -154,45 +170,56 @@ impl Network {
         (deliveries, done)
     }
 
-    /// Precomputes the deterministic route `src -> dst` for repeated
-    /// [`send_on`](Network::send_on) calls over the same pair — the
-    /// bulk-multioperation shape, where a whole lane run targets one
-    /// module. Returns `None` when the path exceeds the fixed-size handle
-    /// (callers fall back to per-message [`send`](Network::send)).
-    pub fn route_to(&self, src: usize, dst: usize) -> Option<Route> {
-        let mut links = [0u32; MAX_ROUTE_HOPS];
-        let mut hops = 0usize;
-        let mut prev = src;
-        while prev != dst {
-            if hops == MAX_ROUTE_HOPS {
-                return None;
-            }
-            let next = self.topology.next_hop(prev, dst);
-            links[hops] = self.topology.link_id(prev, next) as u32;
-            hops += 1;
-            prev = next;
-        }
-        Some(Route {
-            links,
+    /// The deterministic route `src -> dst`, looked up in the route
+    /// table.
+    #[inline]
+    pub fn route(&self, src: usize, dst: usize) -> Route {
+        let n = self.topology.nodes();
+        assert!(
+            src < n && dst < n,
+            "route {src}->{dst} out of range for {:?}",
+            self.topology
+        );
+        let pair = src * n + dst;
+        let start = self.route_start[pair];
+        let hops = self.route_start[pair + 1] - start;
+        Route {
+            start,
             hops,
-            base: self.base_latency(src, dst),
-        })
+            base: hops as u64 * self.hop_latency,
+        }
+    }
+
+    /// The route `src -> dst` for repeated [`send_on`](Network::send_on)
+    /// calls over the same pair — the bulk-multioperation shape, where a
+    /// whole lane run targets one module. Always `Some`: every pair has a
+    /// route-table entry ([`route`](Network::route) is the infallible
+    /// form).
+    pub fn route_to(&self, src: usize, dst: usize) -> Option<Route> {
+        Some(self.route(src, dst))
     }
 
     /// Routes one message along a precomputed [`Route`]: identical link
     /// reservations, delivery cycle, and statistics to
-    /// [`send`](Network::send) over the same pair, minus the per-hop
-    /// topology arithmetic.
+    /// [`send`](Network::send) over the same pair, and counted in
+    /// [`NetStats::route_sends`].
     pub fn send_on(&mut self, route: &Route, now: u64) -> u64 {
-        self.stats.messages += 1;
         self.stats.route_sends += 1;
+        self.walk(route, now)
+    }
+
+    /// Walks one message along `route` from cycle `now`: reserves each
+    /// link in turn and records the message's statistics.
+    #[inline]
+    fn walk(&mut self, route: &Route, now: u64) -> u64 {
+        self.stats.messages += 1;
         if route.hops == 0 {
             self.stats.local_deliveries += 1;
             return now;
         }
-        self.stats.hops += route.hops;
+        self.stats.hops += route.hops();
         let mut t = now;
-        for &link in &route.links[..route.hops] {
+        for &link in route.links(&self.route_links) {
             let slot = &mut self.link_free[link as usize];
             let enter = t.max(*slot);
             *slot = enter + 1;
@@ -243,7 +270,8 @@ impl Network {
         }
         // Occupancy: every server's next-free slot advances one cycle per
         // trailing message.
-        for &link in fwd.links[..fwd.hops].iter().chain(&rev.links[..rev.hops]) {
+        let table = &self.route_links;
+        for &link in fwd.links(table).iter().chain(rev.links(table)) {
             self.link_free[link as usize] += tail;
         }
         self.service_free[node] += tail;
@@ -255,7 +283,7 @@ impl Network {
         if fwd.hops == 0 {
             self.stats.local_deliveries += tail as usize;
         } else {
-            self.stats.hops += fwd.hops * tail as usize;
+            self.stats.hops += fwd.hops() * tail as usize;
             // queued_k = arrive_k − (s_k + base) ramps with the cadence.
             let q0 = arrive0 - (s0 + fwd.base);
             let (sum, last) = self.stats.queue.record_ramp(q0, c, width, 1, tail + 1);
@@ -265,7 +293,7 @@ impl Network {
         if rev.hops == 0 {
             self.stats.local_deliveries += tail as usize;
         } else {
-            self.stats.hops += rev.hops * tail as usize;
+            self.stats.hops += rev.hops() * tail as usize;
             let q0 = back0 - (served0 + rev.base);
             let (sum, last) = self.stats.queue.record_ramp(q0, 0, 1, 1, tail + 1);
             self.stats.queue_cycles += sum;
@@ -433,17 +461,24 @@ mod tests {
         }
     }
 
+    /// Topologies of the reference twins: all three kinds, plus a ring
+    /// whose longest routes (32 hops) exceed any small fixed-size route
+    /// handle.
+    const TWIN_TOPOLOGIES: [Topology; 4] = [
+        Topology::Ring { nodes: 8 },
+        Topology::Mesh2D {
+            width: 4,
+            height: 4,
+        },
+        Topology::Crossbar { nodes: 8 },
+        Topology::Ring { nodes: 64 },
+    ];
+
     #[test]
     fn flat_occupancy_matches_hashmap_reference_trace() {
-        let topologies = [
-            Topology::Ring { nodes: 8 },
-            Topology::Mesh2D {
-                width: 4,
-                height: 4,
-            },
-            Topology::Crossbar { nodes: 8 },
-        ];
-        for topology in topologies {
+        // The reference walks `Topology::route` hop by hop, so this is
+        // also the message-by-message twin of the table-driven `send`.
+        for topology in TWIN_TOPOLOGIES {
             let n = topology.nodes();
             let mut net = Network::new(topology, 3);
             let mut reference = HashMapRouter::new(topology, 3);
@@ -488,22 +523,27 @@ mod tests {
 
     #[test]
     fn send_on_matches_send_exactly() {
-        let topologies = [
-            Topology::Ring { nodes: 8 },
-            Topology::Mesh2D {
-                width: 4,
-                height: 4,
-            },
-            Topology::Crossbar { nodes: 8 },
-        ];
-        for topology in topologies {
+        for topology in TWIN_TOPOLOGIES {
             let n = topology.nodes();
             let mut by_pair = Network::new(topology, 3);
             let mut by_route = Network::new(topology, 3);
             for src in 0..n {
                 for dst in 0..n {
-                    let route = by_route.route_to(src, dst).expect("short path");
+                    let route = by_route.route_to(src, dst).expect("every pair has a route");
                     assert_eq!(route.hops(), topology.distance(src, dst));
+                    // The table entry is the per-hop walk's link sequence.
+                    let mut walked = Vec::new();
+                    let mut prev = src;
+                    while prev != dst {
+                        let next = topology.next_hop(prev, dst);
+                        walked.push(topology.link_id(prev, next) as u32);
+                        prev = next;
+                    }
+                    assert_eq!(
+                        route.links(&by_route.route_links),
+                        &walked[..],
+                        "{topology:?}: route table diverged for {src}->{dst}"
+                    );
                     // Repeated messages exercise both the uncontended and
                     // the link-queued cases.
                     for i in 0..4u64 {
@@ -621,11 +661,11 @@ mod tests {
     }
 
     #[test]
-    fn route_to_declines_paths_longer_than_the_handle() {
+    fn route_to_covers_paths_of_any_length() {
         let net = Network::new(Topology::Ring { nodes: 64 }, 1);
-        // Diameter 32 exceeds the 16-hop handle.
-        assert!(net.route_to(0, 32).is_none());
-        assert!(net.route_to(0, 16).is_some());
+        // The diameter, 32 hops, has a table entry like every other pair.
+        assert_eq!(net.route_to(0, 32).map(|r| r.hops()), Some(32));
+        assert_eq!(net.route(0, 16).hops(), 16);
     }
 
     #[test]

@@ -18,9 +18,9 @@ pub struct NetStats {
     pub max_queue_cycles: u64,
     /// Messages delivered to the sender's own node (distance 0).
     pub local_deliveries: usize,
-    /// Messages routed through a precomputed [`Route`] handle
-    /// ([`Network::send_on`]) instead of per-hop topology arithmetic —
-    /// the bulk-lane reuse the `net.route_sends` metric surfaces.
+    /// Messages routed through a [`Route`] handle looked up once and
+    /// reused ([`Network::send_on`]) — the bulk-lane reuse the
+    /// `net.route_sends` metric surfaces.
     ///
     /// [`Route`]: crate::Route
     /// [`Network::send_on`]: crate::Network::send_on

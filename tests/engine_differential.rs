@@ -19,6 +19,7 @@ use tcf::isa::program::Program;
 use tcf::isa::reg::{r, Reg, SpecialReg};
 use tcf::isa::word::Word;
 use tcf::machine::MachineConfig;
+use tcf::mem::ModuleMap;
 use tcf::pram::RunSummary;
 use tcf_bench::workloads;
 use tcf_obs::chrome::chrome_trace;
@@ -44,7 +45,26 @@ fn observe(
     engine: Engine,
     init: impl Fn(&mut TcfMachine),
 ) -> Observed {
-    let config = MachineConfig::small();
+    observe_on(
+        MachineConfig::small(),
+        SHARED_WINDOW,
+        variant,
+        program,
+        engine,
+        init,
+    )
+}
+
+/// [`observe`] on an explicit machine, comparing shared words
+/// `0..shared_window`.
+fn observe_on(
+    config: MachineConfig,
+    shared_window: usize,
+    variant: Variant,
+    program: &Program,
+    engine: Engine,
+    init: impl Fn(&mut TcfMachine),
+) -> Observed {
     let groups = config.groups;
     let mut m = TcfMachine::new(config, variant, program.clone());
     m.set_engine(engine);
@@ -61,7 +81,7 @@ fn observe(
         .collect();
     Observed {
         outcome,
-        shared: m.peek_range(0, SHARED_WINDOW).unwrap(),
+        shared: m.peek_range(0, shared_window).unwrap(),
         locals,
         metrics: metrics_json(&m.metrics()),
         trace: chrome_trace(&m.trace().events(), &m.obs().events()),
@@ -130,6 +150,37 @@ fn paper_workloads_match_across_engines() {
                 workloads::init_arrays_tcf(m, size);
             }
         });
+    }
+}
+
+/// The paper-scale machine (`P = 16`, `T_p = 64`, 4×4 mesh) places
+/// addresses with the randomizing hash, so its strided thick accesses
+/// keep compressed references but time lane by lane over scattered
+/// modules. `par:2` must still match `seq` observable for observable.
+#[test]
+fn paper_machine_matches_across_engines() {
+    let config = tcf_bench::paper_config();
+    assert!(matches!(config.module_map, ModuleMap::LinearHash { .. }));
+    let cases: Vec<(&str, Program, usize)> = vec![
+        ("tcf_vector_add", workloads::tcf_vector_add(2048), 2048),
+        ("tcf_prefix", workloads::tcf_prefix(1024), 1024),
+        ("masked_two_way", workloads::masked_two_way(1024), 1024),
+    ];
+    let window = workloads::C_BASE + 2048;
+    for (name, program, size) in cases {
+        for variant in all_variants() {
+            let run = |engine| {
+                observe_on(config.clone(), window, variant, &program, engine, |m| {
+                    workloads::init_arrays_tcf(m, size)
+                })
+            };
+            let reference = run(Engine::Sequential);
+            let par = run(Engine::Parallel { workers: 2 });
+            assert!(
+                reference == par,
+                "{name} / {variant:?}: par:2 diverged from seq on the paper machine"
+            );
+        }
     }
 }
 
